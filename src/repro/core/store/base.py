@@ -36,6 +36,15 @@ class IndexMode:
         return normalized
 
 
+# TVisited's priority-queue access path for the SQL stores: one
+# (flag, distance) index per direction, created unless the index mode is
+# NONE.  The F- and SC-statements filter on ``flag = 0`` / ``flag = 2`` and
+# order by distance, and the E-join is driven from the frontier rows these
+# indexes locate, so an FEM iteration touches O(frontier) rows instead of
+# scanning the whole edge relation.
+VISITED_INDEXES = (("ix_tvisited_f", "f, d2s"), ("ix_tvisited_b", "b, d2t"))
+
+
 class GraphStore(ABC):
     """The relational backend the FEM algorithms issue statements against.
 

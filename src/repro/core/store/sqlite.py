@@ -18,7 +18,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Ty
 from repro.core.directions import Direction, INFINITY
 from repro.core.sqlstyle import NSQL, validate_sql_style
 from repro.core.stats import OPERATOR_E, OPERATOR_F, OPERATOR_M
-from repro.core.store.base import GraphStore, IndexMode
+from repro.core.store.base import VISITED_INDEXES, GraphStore, IndexMode
 from repro.core.store.registry import register_backend
 from repro.errors import (
     InvalidQueryError,
@@ -33,7 +33,7 @@ from repro.graph.model import Graph
 _INF = INFINITY
 
 # A memoized statement shape: one SQL text, or the TSQL triple
-# (create-candidates, update, insert).
+# (fill-candidates, update, insert).
 _SQLText = TypeVar("_SQLText", str, Tuple[str, str, str])
 
 
@@ -73,6 +73,9 @@ class SQLiteGraphStore(GraphStore):
         # prepared-statement cache then hits on the identical text instead
         # of parsing a freshly formatted string each iteration.
         self._sql_cache: Dict[Tuple[Hashable, ...], "_SQLText"] = {}
+        # Whether this connection's TVisited currently carries
+        # VISITED_INDEXES (None: not yet synchronized with index_mode).
+        self._visited_indexed: Optional[bool] = None
         # Every connection gets its private TVisited up front, so reader
         # clones can answer queries without a load_graph() call.
         self._create_visited_table()
@@ -111,6 +114,7 @@ class SQLiteGraphStore(GraphStore):
             )
         replica = SQLiteGraphStore(path=self.path)
         replica.index_mode = self.index_mode
+        replica._create_visited_table()  # re-sync TVisited's indexes
         replica.has_segtable = self.has_segtable
         replica.segtable_lthd = self.segtable_lthd
         return replica
@@ -252,6 +256,18 @@ class SQLiteGraphStore(GraphStore):
             )
             """
         )
+        # The access path follows index_mode like TEdges' indexes do, so
+        # the NONE baseline keeps TVisited at its nid key only.  The mode
+        # can change after construction (load_graph, clone, catalog
+        # attach), hence the check on every call.
+        indexed = self.index_mode != IndexMode.NONE
+        if indexed != self._visited_indexed:
+            for name, columns in VISITED_INDEXES:
+                self.connection.execute(
+                    f"CREATE INDEX IF NOT EXISTS {name} ON TVisited ({columns})"
+                    if indexed else f"DROP INDEX IF EXISTS {name}"
+                )
+            self._visited_indexed = indexed
 
     def load_segtable(self, out_segments: Sequence[Dict[str, object]],
                       in_segments: Sequence[Dict[str, object]],
@@ -324,10 +340,12 @@ class SQLiteGraphStore(GraphStore):
     # ------------------------------------------------------------ statistics statements
 
     def top1_min_unfinalized(self, direction: Direction) -> Optional[int]:
-        """Listing 2(2)."""
+        """Listing 2(2); distance ties break to the smallest ``nid``, so the
+        answer does not depend on whether the index or a sort ordered it."""
         sql = self._cached_sql(("top1", direction.is_forward), lambda: (
             f"SELECT nid FROM TVisited WHERE {direction.flag_col} = 0 AND "
-            f"{direction.dist_col} < ? ORDER BY {direction.dist_col} LIMIT 1"
+            f"{direction.dist_col} < ? ORDER BY {direction.dist_col}, nid "
+            f"LIMIT 1"
         ))
         row = self._execute(sql, (_INF,)).fetchone()
         return None if row is None else int(row[0])
@@ -401,13 +419,20 @@ class SQLiteGraphStore(GraphStore):
             self._execute(sql, (nid,))
 
     def select_frontier_set(self, direction: Direction, max_distance: float) -> int:
-        """Listing 4(1)."""
+        """Listing 4(1).
+
+        ``dist <= ? OR dist = min`` is written as ``dist <= max(?, min)``
+        (equal, since no candidate lies below the minimum).  sqlite
+        evaluates the uncorrelated subquery once, when first reached, and a
+        one-pass UPDATE (no flag index) applies each row's change as it
+        goes: an OR that short-circuits on the first rows would reach the
+        subquery only after flagging them, and read the *next* minimum."""
         def build() -> str:
             dist, flag = direction.dist_col, direction.flag_col
             return f"""
                 UPDATE TVisited SET {flag} = 2
                 WHERE {flag} = 0 AND {dist} < ?
-                  AND ({dist} <= ? OR {dist} = (
+                  AND {dist} <= max(?, (
                         SELECT min({dist}) FROM TVisited WHERE {flag} = 0))
             """
         sql = self._cached_sql(("sel_frontier", direction.is_forward), build)
@@ -483,7 +508,11 @@ class SQLiteGraphStore(GraphStore):
     def _expand_nsql(self, direction: Direction,
                      shape: Tuple[Hashable, ...],
                      parameters: List[object]) -> int:
-        """Window-function dedup + UPSERT (the MERGE equivalent)."""
+        """Window-function dedup + UPSERT (the MERGE equivalent).
+
+        Cost ties break to the smallest predecessor — the same rule as
+        TSQL's ``min(pred)`` — so the witness path does not depend on the
+        order the join plan produces candidates in."""
         def build() -> str:
             candidate_sql = self._candidate_sql_text(direction, *shape[1:])
             dist, pred, flag = (direction.dist_col, direction.pred_col,
@@ -496,7 +525,8 @@ class SQLiteGraphStore(GraphStore):
                                       {other_dist}, {other_pred}, {other_flag})
                 SELECT nid, cost, pred, 0, ?, NULL, 0 FROM (
                     SELECT nid, cost, pred,
-                           row_number() OVER (PARTITION BY nid ORDER BY cost) AS rownum
+                           row_number() OVER (PARTITION BY nid
+                                              ORDER BY cost, pred) AS rownum
                     FROM ({candidate_sql})
                 ) WHERE rownum = 1
                 ON CONFLICT(nid) DO UPDATE SET
@@ -516,7 +546,11 @@ class SQLiteGraphStore(GraphStore):
     def _expand_tsql(self, direction: Direction,
                      shape: Tuple[Hashable, ...],
                      parameters: List[object]) -> int:
-        """GROUP BY + join dedup, then UPDATE followed by INSERT ... NOT EXISTS."""
+        """GROUP BY + join dedup, then UPDATE followed by INSERT ... NOT EXISTS.
+
+        The deduplicated candidates land in a scratch table keyed on
+        ``nid``, and the UPDATE is driven from that set, so neither M
+        statement scans ``TVisited``."""
         def build() -> Tuple[str, str, str]:
             candidate_sql = self._candidate_sql_text(direction, *shape[1:])
             dist, pred, flag = (direction.dist_col, direction.pred_col,
@@ -524,9 +558,9 @@ class SQLiteGraphStore(GraphStore):
             other_dist = "d2t" if direction.is_forward else "d2s"
             other_pred = "p2t" if direction.is_forward else "p2s"
             other_flag = "b" if direction.is_forward else "f"
-            create = f"""
-                CREATE TEMP TABLE tmp_expanded AS
-                SELECT cand.nid AS nid, cand.cost AS cost, min(cand.pred) AS pred
+            fill = f"""
+                INSERT INTO tmp_expanded (nid, cost, pred)
+                SELECT cand.nid, cand.cost, min(cand.pred)
                 FROM ({candidate_sql}) cand
                 JOIN (
                     SELECT nid, min(cost) AS mincost
@@ -540,8 +574,9 @@ class SQLiteGraphStore(GraphStore):
                     {dist} = (SELECT cost FROM tmp_expanded t WHERE t.nid = TVisited.nid),
                     {pred} = (SELECT pred FROM tmp_expanded t WHERE t.nid = TVisited.nid),
                     {flag} = 0
-                WHERE EXISTS (SELECT 1 FROM tmp_expanded t
-                              WHERE t.nid = TVisited.nid AND t.cost < TVisited.{dist})
+                WHERE nid IN (SELECT nid FROM tmp_expanded)
+                  AND {dist} > (SELECT cost FROM tmp_expanded t
+                                WHERE t.nid = TVisited.nid)
             """
             insert = f"""
                 INSERT INTO TVisited (nid, {dist}, {pred}, {flag},
@@ -549,19 +584,24 @@ class SQLiteGraphStore(GraphStore):
                 SELECT nid, cost, pred, 0, ?, NULL, 0 FROM tmp_expanded t
                 WHERE NOT EXISTS (SELECT 1 FROM TVisited v WHERE v.nid = t.nid)
             """
-            return create, update, insert
+            return fill, update, insert
 
-        create, update, insert = self._cached_sql(("expand", "tsql") + shape,
-                                                  build)
+        fill, update, insert = self._cached_sql(("expand", "tsql") + shape,
+                                                build)
         with self.stats.operator(OPERATOR_E):
-            self._execute_unlogged("DROP TABLE IF EXISTS tmp_expanded")
-            self._execute(create, parameters + parameters)
+            # The scratch outlives the iteration and is emptied instead of
+            # dropped: re-creating it would change the temp schema and make
+            # sqlite re-prepare every cached statement on the connection.
+            self._execute_unlogged(
+                "CREATE TEMP TABLE IF NOT EXISTS tmp_expanded ("
+                "nid INTEGER PRIMARY KEY, cost REAL, pred INTEGER)")
+            self._execute_unlogged("DELETE FROM tmp_expanded")
+            self._execute(fill, parameters + parameters)
         with self.stats.operator(OPERATOR_M):
             self._execute(update)
             updated = self._changes()
             self._execute(insert, (_INF,))
             inserted = self._changes()
-            self._execute_unlogged("DROP TABLE IF EXISTS tmp_expanded")
         return updated + inserted
 
     def expand_hops(self, direction: Direction) -> int:

@@ -62,7 +62,14 @@ GRID_PROBE_SIDE = 7
 """Side of the secondary grid probe.  Biases are fitted across *two*
 probe shapes — the hub-heavy power graph (wide tie sets, where
 set-at-a-time shines) and a uniform-degree grid (no ties, where
-node-at-a-time does) — so one shape cannot skew a method's bias."""
+node-at-a-time does) — so one shape cannot skew a method's bias.
+
+The grid keeps the generators' default weight range: with
+:data:`PROBE_WEIGHTS` it would be tie-rich too, BSDJ would settle it in
+under half the rounds the structural model predicts, and the fitted
+BSDJ bias would under-price set-at-a-time on every ordinary grid.
+(Measured on the 7x7 probe: 8.8 BSDJ rounds per query at weights 1-4,
+18.1 at the default 1-100, against 21 predicted.)"""
 
 _COST_FLOOR = 1e-9
 _STATEMENT_FLOOR = 1e-7
@@ -237,8 +244,7 @@ def calibrate_profile(backend: str, *, seed: int = 0,
         # uniform-degree grid — so the model ships with each backend's
         # residual folded in instead of waiting for runtime feedback.
         model = CostModel(profile)
-        grid = grid_graph(GRID_PROBE_SIDE, GRID_PROBE_SIDE,
-                          weight_range=PROBE_WEIGHTS, seed=seed)
+        grid = grid_graph(GRID_PROBE_SIDE, GRID_PROBE_SIDE, seed=seed)
         # The grid probe runs *simultaneously* with the power-graph store,
         # so on a client-server backend it must land in its own table
         # namespace: calibration_path() hands out a DSN with a fresh probe

@@ -57,8 +57,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.stats import SegTableBuildStats
 from repro.graph.stats import GraphStatistics
 
-PROFILE_VERSION = 1
-"""Serialized :class:`CostProfile` format version."""
+PROFILE_VERSION = 2
+"""Serialized :class:`CostProfile` format version.
+
+Bumped whenever the stores' statements change what a unit of work costs,
+so persisted calibrations measured against the old plans stop
+reattaching.  Version 2: TVisited's (flag, distance) indexes turn the
+SQL stores' per-iteration E-join from a scan of the edge relation into
+a frontier probe."""
 
 AUTO_CANDIDATES: Tuple[str, ...] = ("DJ", "BDJ", "BSDJ")
 """Methods ``auto`` prices on every graph; BSEG joins when a SegTable exists."""
@@ -126,6 +132,7 @@ class CostProfile:
     calibrated: bool = False
     calibrated_at: float = 0.0
     probe_seconds: float = 0.0
+    version: int = PROFILE_VERSION
 
     def bias(self, method: str) -> float:
         return self.method_bias.get(method, 1.0)
@@ -138,7 +145,7 @@ class CostProfile:
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "version": PROFILE_VERSION,
+            "version": self.version,
             "backend": self.backend,
             "host": self.host,
             "statement_cost": self.statement_cost,
@@ -173,6 +180,7 @@ class CostProfile:
             calibrated=bool(data.get("calibrated", False)),
             calibrated_at=float(data.get("calibrated_at", 0.0)),
             probe_seconds=float(data.get("probe_seconds", 0.0)),
+            version=int(data.get("version", 0)),
         )
 
 

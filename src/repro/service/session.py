@@ -89,7 +89,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; the catalog package is
     from repro.serve.aio import AsyncPathService
 from repro.memory.bidirectional import bidirectional_dijkstra as _memory_bidirectional
 from repro.memory.dijkstra import dijkstra_shortest_path as _memory_dijkstra
-from repro.obs import MetricsRegistry, Tracer, record_span, timer, wall_time
+from repro.obs import MetricsRegistry, Tracer, now, record_span, timer, wall_time
 from repro.obs import span as obs_span
 from repro.obs.schema import (
     METRIC_DEADLINE_EXCEEDED,
@@ -100,7 +100,8 @@ from repro.obs.schema import (
     METRIC_QUERY_QUEUE,
 )
 from repro.service.cache import CacheStats, ResultCache
-from repro.service.costmodel import CostModel, CostProfile, host_fingerprint
+from repro.service.costmodel import (PROFILE_VERSION, CostModel, CostProfile,
+                                     host_fingerprint)
 from repro.service.pool import PoolStats, StorePool
 from repro.service.planner import (
     KIND_PATH,
@@ -137,14 +138,17 @@ def run_in_memory(graph: Graph, source: int, target: int,
     """Run one of the in-memory competitors (MDJ or MBDJ) on ``graph``."""
     method = method.upper()
     if method == "MDJ":
-        result = _memory_dijkstra(graph, source, target)
+        search = _memory_dijkstra
     elif method == "MBDJ":
-        result = _memory_bidirectional(graph, source, target)
+        search = _memory_bidirectional
     else:
         raise InvalidQueryError(
             f"unknown in-memory method {method!r}; expected MDJ or MBDJ"
         )
+    start_time = now()
+    result = search(graph, source, target)
     stats = QueryStats(method=method)
+    stats.total_time = now() - start_time
     stats.found = True
     stats.distance = result.distance
     stats.visited_nodes = result.settled
@@ -745,9 +749,10 @@ class PathService:
 
         Resolution order: a model already live in this session; a
         calibration profile persisted in the bound catalog for this
-        backend **and this host** (warm starts reattach a calibrated
-        planner with zero re-probing); otherwise the built-in default
-        profile.  The same object keeps receiving runtime feedback.
+        backend, **this host and the current profile version** (warm
+        starts reattach a calibrated planner with zero re-probing);
+        otherwise the built-in default profile.  The same object keeps
+        receiving runtime feedback.
         """
         backend = (backend or self.default_backend).lower()
         model = self._cost_models.get(backend)
@@ -756,7 +761,9 @@ class PathService:
         profile: Optional[CostProfile] = None
         if self._catalog is not None:
             record = self._catalog.get_calibration(backend)
-            if record is not None and record.profile.host == host_fingerprint():
+            if (record is not None
+                    and record.profile.host == host_fingerprint()
+                    and record.profile.version == PROFILE_VERSION):
                 # Clone: the live model keeps mutating under runtime
                 # feedback, and the record the catalog hands out must not.
                 profile = record.profile.clone()

@@ -61,7 +61,7 @@ from urllib.parse import parse_qs, urlencode, urlsplit, urlunsplit
 from repro.core.directions import Direction, INFINITY
 from repro.core.sqlstyle import NSQL, validate_sql_style
 from repro.core.stats import OPERATOR_E, OPERATOR_F, OPERATOR_M
-from repro.core.store.base import GraphStore, IndexMode
+from repro.core.store.base import VISITED_INDEXES, GraphStore, IndexMode
 from repro.core.store.registry import is_dsn, register_backend
 from repro.errors import (
     BackendConnectionError,
@@ -79,7 +79,7 @@ _INF = INFINITY
 DEFAULT_TABLE_PREFIX = "repro_"
 
 # Memoized statement shapes, as in the SQLite store: one text, or the
-# TSQL (create, update, insert) triple.
+# TSQL (fill, update, insert) triple.
 _SQLText = Any
 
 
@@ -166,10 +166,11 @@ class Dialect:
     """
 
     def __init__(self, name: str, placeholder: str,
-                 table_exists_sql: str) -> None:
+                 table_exists_sql: str, greatest: str) -> None:
         self.name = name
         self.placeholder = placeholder
         self.table_exists_sql = table_exists_sql
+        self.greatest = greatest
 
 
 SQLITE_DIALECT = Dialect(
@@ -177,6 +178,7 @@ SQLITE_DIALECT = Dialect(
     placeholder="?",
     table_exists_sql=("SELECT count(*) FROM sqlite_master "
                       "WHERE type='table' AND name = ?"),
+    greatest="max",
 )
 
 POSTGRES_DIALECT = Dialect(
@@ -185,6 +187,7 @@ POSTGRES_DIALECT = Dialect(
     table_exists_sql=("SELECT count(*) FROM information_schema.tables "
                       "WHERE table_schema = current_schema() "
                       "AND table_name = %s"),
+    greatest="GREATEST",
 )
 
 
@@ -297,6 +300,7 @@ class DBAPIGraphStore(GraphStore):
         self._tinsegs = f"{prefix}tinsegs"
         self._meta = f"{prefix}meta"
         self._sql_cache: Dict[Tuple[Hashable, ...], _SQLText] = {}
+        self._visited_indexed: Optional[bool] = None
         self._server_limit: Optional[int] = None
         self._closed = False
         try:
@@ -395,6 +399,7 @@ class DBAPIGraphStore(GraphStore):
         replica = DBAPIGraphStore(self.path, parsed=self.parsed,
                                   driver=driver_for(self.parsed))
         replica.index_mode = self.index_mode
+        replica._create_visited_table()  # re-sync TVisited's indexes
         replica.has_segtable = self.has_segtable
         replica.segtable_lthd = self.segtable_lthd
         return replica
@@ -595,6 +600,18 @@ class DBAPIGraphStore(GraphStore):
             )
             """
         )
+        # The (flag, distance) access path, following index_mode as in the
+        # SQLite store.  An index on a temp table lives in the
+        # session's temp schema on both engines, so the unqualified names
+        # never collide across connections.
+        indexed = self.index_mode != IndexMode.NONE
+        if indexed != self._visited_indexed:
+            for name, columns in VISITED_INDEXES:
+                self._execute_unlogged(
+                    f"CREATE INDEX IF NOT EXISTS {name} ON tvisited ({columns})"
+                    if indexed else f"DROP INDEX IF EXISTS {name}"
+                )
+            self._visited_indexed = indexed
 
     def load_segtable(self, out_segments: Sequence[Dict[str, object]],
                       in_segments: Sequence[Dict[str, object]],
@@ -686,7 +703,7 @@ class DBAPIGraphStore(GraphStore):
         sql = self._cached_sql(("top1", direction.is_forward), lambda: (
             f"SELECT nid FROM tvisited WHERE {direction.flag_col} = 0 AND "
             f"{direction.dist_col} < {self._p} "
-            f"ORDER BY {direction.dist_col} LIMIT 1"
+            f"ORDER BY {direction.dist_col}, nid LIMIT 1"
         ))
         value = self._scalar(self._execute(sql, (_INF,)))
         return None if value is None else int(value)
@@ -750,13 +767,15 @@ class DBAPIGraphStore(GraphStore):
 
     def select_frontier_set(self, direction: Direction,
                             max_distance: float) -> int:
+        # The bound folds in the minimum, as in the SQLite store, so the
+        # subquery is evaluated before any row is flagged.
         def build() -> str:
             dist, flag = direction.dist_col, direction.flag_col
             p = self._p
             return f"""
                 UPDATE tvisited SET {flag} = 2
                 WHERE {flag} = 0 AND {dist} < {p}
-                  AND ({dist} <= {p} OR {dist} = (
+                  AND {dist} <= {self.dialect.greatest}({p}, (
                         SELECT min(inner_v.{dist}) FROM tvisited inner_v
                         WHERE inner_v.{flag} = 0))
             """
@@ -843,8 +862,8 @@ class DBAPIGraphStore(GraphStore):
                                       {other_dist}, {other_pred}, {other_flag})
                 SELECT nid, cost, pred, 0, {self._p}, NULL, 0 FROM (
                     SELECT nid, cost, pred,
-                           row_number() OVER (PARTITION BY nid ORDER BY cost)
-                               AS rownum
+                           row_number() OVER (PARTITION BY nid
+                                              ORDER BY cost, pred) AS rownum
                     FROM ({candidate_sql}) AS cand
                 ) AS ranked WHERE rownum = 1
                 ON CONFLICT (nid) DO UPDATE SET
@@ -862,7 +881,8 @@ class DBAPIGraphStore(GraphStore):
     def _expand_tsql(self, direction: Direction,
                      shape: Tuple[Hashable, ...],
                      parameters: List[object]) -> int:
-        """GROUP BY dedup into a temp table, then UPDATE + INSERT."""
+        """GROUP BY dedup into a ``nid``-keyed temp table, then an UPDATE
+        driven from that set + INSERT."""
         def build() -> Tuple[str, str, str]:
             candidate_sql = self._candidate_sql_text(direction, *shape[1:])
             dist, pred, flag = (direction.dist_col, direction.pred_col,
@@ -870,10 +890,9 @@ class DBAPIGraphStore(GraphStore):
             other_dist = "d2t" if direction.is_forward else "d2s"
             other_pred = "p2t" if direction.is_forward else "p2s"
             other_flag = "b" if direction.is_forward else "f"
-            create = f"""
-                CREATE TEMP TABLE tmp_expanded AS
-                SELECT cand.nid AS nid, cand.cost AS cost,
-                       min(cand.pred) AS pred
+            fill = f"""
+                INSERT INTO tmp_expanded (nid, cost, pred)
+                SELECT cand.nid, cand.cost, min(cand.pred)
                 FROM ({candidate_sql}) AS cand
                 JOIN (
                     SELECT nid, min(cost) AS mincost
@@ -889,9 +908,9 @@ class DBAPIGraphStore(GraphStore):
                     {pred} = (SELECT pred FROM tmp_expanded t
                               WHERE t.nid = tvisited.nid),
                     {flag} = 0
-                WHERE EXISTS (SELECT 1 FROM tmp_expanded t
-                              WHERE t.nid = tvisited.nid
-                                AND t.cost < tvisited.{dist})
+                WHERE nid IN (SELECT nid FROM tmp_expanded)
+                  AND {dist} > (SELECT cost FROM tmp_expanded t
+                                WHERE t.nid = tvisited.nid)
             """
             insert = f"""
                 INSERT INTO tvisited (nid, {dist}, {pred}, {flag},
@@ -901,17 +920,21 @@ class DBAPIGraphStore(GraphStore):
                 WHERE NOT EXISTS (SELECT 1 FROM tvisited v
                                   WHERE v.nid = t.nid)
             """
-            return create, update, insert
+            return fill, update, insert
 
-        create, update, insert = self._cached_sql(("expand", "tsql") + shape,
-                                                  build)
+        fill, update, insert = self._cached_sql(("expand", "tsql") + shape,
+                                                build)
         with self.stats.operator(OPERATOR_E):
-            self._execute_unlogged("DROP TABLE IF EXISTS tmp_expanded")
-            self._execute(create, parameters + parameters)
+            # Emptied rather than dropped each iteration, as in the SQLite
+            # store: no per-iteration DDL.
+            self._execute_unlogged(
+                "CREATE TEMP TABLE IF NOT EXISTS tmp_expanded ("
+                "nid BIGINT PRIMARY KEY, cost DOUBLE PRECISION, pred BIGINT)")
+            self._execute_unlogged("DELETE FROM tmp_expanded")
+            self._execute(fill, parameters + parameters)
         with self.stats.operator(OPERATOR_M):
             updated = max(0, self._execute(update).rowcount)
             inserted = max(0, self._execute(insert, (_INF,)).rowcount)
-            self._execute_unlogged("DROP TABLE IF EXISTS tmp_expanded")
         return updated + inserted
 
     def expand_hops(self, direction: Direction) -> int:

@@ -108,6 +108,32 @@ class TestStoreBasics:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("index_mode", IndexMode.ALL)
+def test_frontier_set_is_threshold_or_minimum(backend, index_mode):
+    """Listing 4(1) selects candidates within the threshold, or at the
+    minimal distance when none is -- never the next minimum as well, in
+    whatever order the rows are visited."""
+    store = MiniDBGraphStore(buffer_capacity=32) if backend == "minidb" else SQLiteGraphStore()
+    store.load_graph(small_graph(), index_mode=index_mode)
+    store.begin_query(QueryStats(), "nsql")
+    store.reset_visited()
+    store.insert_visited([
+        {"nid": 1, "d2s": 2.0, "p2s": 1, "f": 0},
+        {"nid": 2, "d2s": 36.0, "p2s": 1, "f": 0},
+        {"nid": 3, "d2s": 41.0, "p2s": 1, "f": 0},
+        {"nid": 4, "f": 0},
+    ])
+    assert store.select_frontier_set(FORWARD_DIRECTION, 6.0) == 1
+    flags = {row["nid"]: row["f"] for row in store.visited_rows()}
+    assert flags == {1: 2, 2: 0, 3: 0, 4: 0}
+    store.finalize_frontier(FORWARD_DIRECTION)
+    # No candidate within the threshold: the minimal one alone.
+    assert store.select_frontier_set(FORWARD_DIRECTION, 6.0) == 1
+    assert {row["nid"] for row in store.visited_rows() if row["f"] == 2} == {2}
+    store.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("sql_style", ["nsql", "tsql"])
 class TestStoreExpansion:
     def test_forward_expand_single_node(self, backend, sql_style):

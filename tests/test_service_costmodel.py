@@ -26,6 +26,7 @@ from repro.service import PathService
 from repro.service.calibrate import calibrate_profile
 from repro.service.costmodel import (
     AUTO_CANDIDATES,
+    PROFILE_VERSION,
     CostModel,
     CostProfile,
     default_profile,
@@ -385,6 +386,28 @@ class TestManifestPersistence:
         with PathService(catalog_path=catalog_dir,
                          default_backend="sqlite") as service:
             assert not service.cost_model("sqlite").profile.calibrated
+
+    def test_profile_from_an_older_version_is_ignored(self, tmp_path):
+        # Version-1 unit costs were measured against the unindexed
+        # TVisited; reattaching them would misprice every method.
+        catalog_dir = str(tmp_path / "cat")
+        stale = self._record().to_dict()
+        stale["profile"]["version"] = 1
+        Catalog(catalog_dir).set_calibration(CalibrationRecord.from_dict(stale))
+        assert Catalog(catalog_dir).get_calibration("sqlite").profile.version == 1
+        with PathService(catalog_path=catalog_dir,
+                         default_backend="sqlite") as service:
+            profile = service.cost_model("sqlite").profile
+            assert not profile.calibrated
+            assert profile == default_profile("sqlite")
+
+    def test_current_version_record_reattaches(self, tmp_path):
+        catalog_dir = str(tmp_path / "cat")
+        Catalog(catalog_dir).set_calibration(self._record())
+        with PathService(catalog_path=catalog_dir,
+                         default_backend="sqlite") as service:
+            profile = service.cost_model("sqlite").profile
+            assert profile.calibrated and profile.version == PROFILE_VERSION
 
     def test_service_calibrate_defaults_to_hosted_backends(self, tmp_path):
         with PathService() as service:

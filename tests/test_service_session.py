@@ -12,7 +12,7 @@ from repro.errors import (
 )
 from repro.graph.generators import grid_graph, path_graph, power_law_graph
 from repro.memory.dijkstra import dijkstra_shortest_path
-from repro.service import PathService, Session
+from repro.service import PathService, Session, run_in_memory
 
 
 class TestGraphHosting:
@@ -65,6 +65,18 @@ class TestGraphHosting:
             # In-memory methods validate identically.
             with pytest.raises(NodeNotFoundError):
                 service.shortest_path(0, 99, graph="g", method="MDJ")
+
+    @pytest.mark.parametrize("method", ["MDJ", "MBDJ"])
+    def test_in_memory_methods_report_their_time(self, method):
+        # MDJ/MBDJ sit beside the relational methods in every comparison,
+        # so their stats must carry a measured total_time, not 0.
+        graph = power_law_graph(200, edges_per_node=2, seed=4)
+        assert run_in_memory(graph, 0, 150, method=method).stats.total_time > 0
+        with PathService() as service:
+            service.add_graph("g", graph)
+            result = service.shortest_path(0, 150, graph="g", method=method,
+                                           use_cache=False)
+            assert result.stats.total_time > 0
 
     def test_unknown_method(self):
         with PathService() as service:
